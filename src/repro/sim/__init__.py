@@ -1,14 +1,14 @@
-"""Deterministic execution substrate: interpreter, runtime, counters.
+"""Deterministic execution substrate: lowering, runtime, counters.
 
 The simulated backend executes generated programs with exact IEEE
-semantics on a virtual clock.  A vendor's "compiler" lowers the AST to
-Python (:mod:`repro.sim.lower`); its "runtime" is a
-:class:`~repro.sim.runtime.RegionExecutor` cost model driven by hooks in
-the lowered code.  The lowered template is also lowered to a typed
-register IR (:mod:`repro.sim.ir`), from which a compiled C kernel
-(:mod:`repro.sim.ckernel`) or a bytecode VM (:mod:`repro.sim.vm`) can
-execute the same program byte-identically — see :mod:`repro.sim.backend`
-for selection and :func:`backend_info` for what is active and why.
+semantics on a virtual clock.  A vendor's "compiler" lowers the AST once
+to a typed kernel IR (:mod:`repro.sim.lower` → :mod:`repro.sim.ir`);
+its "runtime" is a :class:`~repro.sim.runtime.RegionExecutor` cost model
+driven by hooks in the lowered kernel.  Two backends are emitters over
+that one IR: an exec'd Python template (:mod:`repro.sim.pyemit`) and a
+compiled C kernel (:mod:`repro.sim.ckernel`) — see
+:mod:`repro.sim.backend` for selection and :func:`backend_info` for what
+is active and why.
 """
 
 from .backend import (active_kernel_backend, kernel_backend_info,

@@ -36,7 +36,7 @@ import sys
 import sysconfig
 import tempfile
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from hashlib import sha256
 from pathlib import Path
 
@@ -265,34 +265,47 @@ def build_shared_object(cc: str, c_source: str, out: Path,
     Shared by the value-helper module and the kernel backend
     (:mod:`repro.sim.ckernel`).  Returns ``(ok, reason)`` — the reason
     is a short diagnostic (including a stderr snippet on compiler
-    errors) instead of the old silent ``False``.  The final rename is
-    atomic, so concurrent builders race harmlessly.
+    errors) instead of the old silent ``False``.  Every build writes its
+    source and object under names unique to that build and removes them
+    afterwards, and the final rename is atomic, so concurrent builders
+    (processes or threads) race harmlessly and leave only ``out``.
     """
     include = sysconfig.get_paths()["include"]
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
-        src = out.with_suffix(".c")
-        src.write_text(c_source)
+        fd, name = tempfile.mkstemp(prefix=out.name + ".", suffix=".c",
+                                    dir=out.parent)
     except OSError as exc:
         return False, f"cannot write build inputs: {exc}"
-    tmp = out.with_name(out.name + f".tmp{os.getpid()}")
-    cmd = [cc, "-O2", "-fPIC", "-shared", *extra_flags, f"-I{include}",
-           str(src), "-o", str(tmp)]
-    if sys.platform == "darwin":
-        cmd[4:4] = ["-undefined", "dynamic_lookup"]
+    src = Path(name)
+    tmp = src.with_suffix(".tmp")
     try:
-        proc = subprocess.run(cmd, capture_output=True, timeout=120)
-    except (OSError, subprocess.TimeoutExpired) as exc:
-        return False, f"compiler did not run: {type(exc).__name__}: {exc}"
-    if proc.returncode != 0:
-        tail = proc.stderr.decode(errors="replace").strip().splitlines()
-        snippet = "; ".join(tail[-3:]) if tail else "no compiler output"
-        return False, f"compiler exited {proc.returncode}: {snippet}"
-    try:
-        os.replace(tmp, out)
-    except OSError as exc:
-        return False, f"cannot install built object: {exc}"
-    return True, ""
+        try:
+            with os.fdopen(fd, "w") as f:
+                f.write(c_source)
+        except OSError as exc:
+            return False, f"cannot write build inputs: {exc}"
+        cmd = [cc, "-O2", "-fPIC", "-shared", *extra_flags, f"-I{include}",
+               str(src), "-o", str(tmp)]
+        if sys.platform == "darwin":
+            cmd[4:4] = ["-undefined", "dynamic_lookup"]
+        try:
+            proc = subprocess.run(cmd, capture_output=True, timeout=120)
+        except (OSError, subprocess.TimeoutExpired) as exc:
+            return False, f"compiler did not run: {type(exc).__name__}: {exc}"
+        if proc.returncode != 0:
+            tail = proc.stderr.decode(errors="replace").strip().splitlines()
+            snippet = "; ".join(tail[-3:]) if tail else "no compiler output"
+            return False, f"compiler exited {proc.returncode}: {snippet}"
+        try:
+            os.replace(tmp, out)
+        except OSError as exc:
+            return False, f"cannot install built object: {exc}"
+        return True, ""
+    finally:
+        for leftover in (src, tmp):
+            with suppress(OSError):
+                leftover.unlink(missing_ok=True)
 
 
 def _build(cc: str, out: Path) -> bool:

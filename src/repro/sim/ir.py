@@ -1,12 +1,11 @@
 """Typed register IR for lowered kernels — the backend-neutral middle layer.
 
-The structural pass (:class:`repro.sim.lower.StructuralLowerer`) emits two
-artifacts from one AST walk: the Python template that the interpreted
-backend ``exec``'s, and a :class:`KernelIR` — a small typed IR whose ops
-mirror the template line for line.  Building both from the same walk is
-what makes the compiled backends (:mod:`repro.sim.vm`,
-:mod:`repro.sim.ckernel`) byte-identical to the interpreter by
-construction: every operation the template performs — each FP op with its
+The structural pass (:class:`repro.sim.lower.StructuralLowerer`) lowers
+one AST to one :class:`KernelIR`, and that IR is the single definition of
+what the kernel does.  Both backends are emitters over it — the Python
+template of :mod:`repro.sim.pyemit` and the C kernel of
+:mod:`repro.sim.ckernel` — which is what makes them byte-identical by
+construction: every operation a kernel performs — each FP op with its
 f32/FTZ/FMA/libm wrap, each fused cost charge against the ``_K``
 constants tuple, each runtime hook in order — has exactly one IR op, and
 the backends only differ in how they *execute* that op.
@@ -25,13 +24,13 @@ Value semantics carried by the IR:
 * **Cost charges** add ``_K``-slot constants (and branch literals) to
   the four local accumulator lanes; :class:`Flush`/:class:`Reload`
   exchange the lanes with the shared
-  :class:`~repro.sim.lower.CostState` exactly where the template does.
+  :class:`~repro.sim.lower.CostState`.
 * **Hooks** call the :class:`~repro.sim.runtime.RegionExecutor` by
   method name, with or without the ``_tid`` argument.
 
-The IR is deliberately structured (loops and ifs nest, like the
-template) rather than a flat CFG: the backends are a tree-walking
-bytecode compiler and a C emitter, and neither needs more.
+The IR is deliberately structured (loops and ifs nest) rather than a
+flat CFG: the backends are a Python emitter and a C emitter, and neither
+needs more.
 """
 
 from __future__ import annotations
@@ -449,9 +448,8 @@ class IrBuilder:
     """Block-structured emission helper for :class:`StructuralLowerer`.
 
     ``emit`` appends to the innermost open block; ``push``/``pop``
-    bracket loop and branch bodies around the existing ``block()``
-    recursion, so the op order inside each block is exactly the
-    template's line order.
+    bracket loop and branch bodies around the lowerer's ``block()``
+    recursion, so the op order inside each block is the source order.
     """
 
     def __init__(self) -> None:

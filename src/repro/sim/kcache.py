@@ -6,23 +6,23 @@ programs again and again.  :class:`KernelCache` memoizes both lowering
 phases behind bounded LRU maps:
 
 * **structural entries** — keyed by ``(fingerprint, ftz, fma_mode)``:
-  the expensive pass (AST walk, source emission, ``compile()``).  The
+  the expensive pass (AST walk, IR emission, constant folding).  The
   key is the *kernel shape*: the program text plus the only two vendor
   traits that change emitted code, so vendors whose shapes coincide
   (e.g. every vendor at ``-O0``/``-O1``, where contraction is off) share
-  one compiled template;
+  one IR and its compiled backends;
 * **kernel entries** — keyed by ``(fingerprint, vendor, opt_level,
   fast_armed, slow_armed)``: the bound
-  :class:`~repro.sim.lower.LoweredKernel` (template + that vendor's
-  ``_K`` constants).  Bound kernels also memoize their exec'd callable
+  :class:`~repro.sim.lower.LoweredKernel` (shape + that vendor's ``_K``
+  constants).  Bound kernels also memoize their entry callable
   (:meth:`~repro.sim.lower.LoweredKernel.bind`), so a cache hit skips
-  the module exec as well.
+  the module exec or load as well.
 
 Invalidation is purely capacity-based (LRU eviction): every component of
 a key is content-derived — the fingerprint hashes the emitted C++
 translation unit, and the fault arms are deterministic functions of
 ``(fingerprint, vendor)`` — so an entry can never go stale, only cold.
-Capacities bound worst-case memory (a compiled template plus metadata is
+Capacities bound worst-case memory (a shape's IR plus metadata is
 a few tens of KB); the defaults hold a full 200-program campaign with
 room to spare.
 

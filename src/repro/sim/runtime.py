@@ -3,7 +3,7 @@
 One :class:`RegionExecutor` instance drives a single execution of a
 lowered binary.  The lowered code calls into it at every OpenMP event
 (region enter/exit, per-thread begin/end, ``omp for`` chunking, critical
-enter/exit); the executor converts those events into
+entry); the executor converts those events into
 
 * **virtual time** — a region's elapsed cycles are
   ``spawn + sched + max(per-thread compute) + serialized critical time +
@@ -24,8 +24,8 @@ lanes in fast locals and synchronizes them only where required):
   (it can abort with a partial cost): lowered code flushes its local
   accumulators before the call and reloads after the ones that mutate;
 * **cost-transparent** — ``chunk``, ``assign``, ``omp_for_done``,
-  ``barrier``, ``crit_exit``, ``atomic_update``, ``single_done``,
-  ``sections_done``, ``task_spawn``, ``taskwait``: these must never read
+  ``barrier``, ``atomic_update``, ``single_done``, ``sections_done``,
+  ``task_spawn``, ``taskwait``: these must never read
   or write ``CostState`` (their per-event cycle charges are baked into
   the kernel's ``_K`` constants by the cost pass).
 """
@@ -344,9 +344,6 @@ class RegionExecutor:
             self._acq_total += 1
             if self._acq_total >= self.vendor.faults.hang_min_acquires:
                 self._hang()
-
-    def crit_exit(self) -> None:
-        pass  # lane switching is static in the lowered code
 
     def _hang(self) -> None:
         """The Case-Study-3 livelock: every thread stuck acquiring the

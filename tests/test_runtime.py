@@ -64,7 +64,6 @@ class TestRegionAccounting:
             ex.thread_begin(tid)
             ex.crit_enter()
             cost.ccy += 500.0
-            ex.crit_exit()
             ex.thread_end(tid)
         ex.region_exit(0, 0.0, None, None)
         # both threads' critical bodies must appear in elapsed (serialized)
@@ -156,7 +155,6 @@ class TestFaults:
         with pytest.raises(SimulatedHang) as exc:
             for _ in range(INTEL.faults.hang_min_acquires + 1):
                 ex.crit_enter()
-                ex.crit_exit()
         states = exc.value.thread_states
         assert sum(len(v) for v in states.values()) == 32
         assert "__kmp_eq_4" in states
@@ -198,7 +196,6 @@ class TestWaitSideEffects:
             ex.thread_begin(tid)
             ex.crit_enter()
             cost.ccy += 10_000.0
-            ex.crit_exit()
             ex.thread_end(tid)
         ex.region_exit(0, 0.0, None, None)
         symbols = {sym for _, sym in ex.profile.samples}

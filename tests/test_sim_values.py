@@ -259,6 +259,57 @@ class TestNativeEquivalence:
         assert sorted(repr(v.identity()) for v in r.verdicts) == doc["ids"]
 
 
+class TestBuildSharedObject:
+    """Build temporaries are unique per build and never outlive it."""
+
+    SOURCE = "int repro_answer(void) { return 42; }\n"
+
+    @pytest.fixture()
+    def cc(self):
+        from repro.sim import _native
+        cc = _native._find_cc()
+        if cc is None:
+            pytest.skip("no C compiler on this host")
+        return cc
+
+    def test_success_leaves_only_the_object(self, cc, tmp_path):
+        from repro.sim import _native
+        out = tmp_path / "answer.so"
+        assert _native.build_shared_object(cc, self.SOURCE, out) == (True, "")
+        assert [p.name for p in tmp_path.iterdir()] == ["answer.so"]
+
+    def test_compiler_failure_leaves_nothing(self, cc, tmp_path):
+        from repro.sim import _native
+        ok, why = _native.build_shared_object(cc, "not C at all",
+                                              tmp_path / "broken.so")
+        assert not ok
+        assert "compiler exited" in why
+        assert list(tmp_path.iterdir()) == []
+
+    def test_two_threads_same_key_both_loadable(self, cc, tmp_path):
+        import ctypes
+        import threading
+
+        from repro.sim import _native
+        out = tmp_path / "shared.so"
+        start = threading.Barrier(2)
+        results = []
+
+        def build():
+            start.wait()
+            ok, why = _native.build_shared_object(cc, self.SOURCE, out)
+            results.append((ok, why, ctypes.CDLL(str(out)).repro_answer()
+                            if ok else None))
+
+        threads = [threading.Thread(target=build) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert results == [(True, "", 42)] * 2
+        assert [p.name for p in tmp_path.iterdir()] == ["shared.so"]
+
+
 class TestNativeLoader:
     """The accelerator loader must degrade, never raise."""
 
